@@ -10,7 +10,7 @@ condition (every replica committed the same sequence of transactions).
 
 Next steps: pass ``protocol="primary-copy"`` to compare passive
 replication (see examples/protocol_comparison.py or
-``python -m repro.runner --protocol``), and add ``faults={...}`` with
+``python -m repro.runner run fig5 --protocol all``), and add ``faults={...}`` with
 crash / recover / partition / heal actions to exercise the fault model
 (see examples/fault_injection_campaign.py and README "Fault model &
 recovery").

@@ -1,11 +1,13 @@
-"""Setuptools shim.
+"""Package declaration for the ``repro`` library under ``src/``.
 
-The project is declared in ``pyproject.toml``; this file exists so that
-``pip install -e .`` also works on environments whose pip/setuptools
-combination predates PEP 660 editable wheels (legacy ``setup.py develop``
-path).
+``pip install -e .`` makes ``import repro`` work from anywhere; the
+tests and tools also run without installing, with ``PYTHONPATH=src``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+)

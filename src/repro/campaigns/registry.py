@@ -2,7 +2,7 @@
 
 Mirrors the replication-protocol registry (:mod:`repro.protocols.base`):
 campaigns resolve by name everywhere — the runner CLI (``run smoke``),
-``run_grid``, the benchmark grid — and registering a spec is all it
+the benchmark grid, the examples — and registering a spec is all it
 takes to make a new grid runnable, listable, describable and
 exportable from the command line.
 

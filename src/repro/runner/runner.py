@@ -7,8 +7,7 @@
 * **artifact** — a matching result already sits in the artifact store
   (resume): the cell is loaded, not run;
 * **in-process** — ``workers=1``: cells run sequentially in this
-  process, bit-identical to calling ``Scenario(config).run()`` yourself
-  (the legacy ``run_grid`` behavior);
+  process, bit-identical to calling ``Scenario(config).run()`` yourself;
 * **worker** — ``workers>1``: cells are farmed to a
   ``ProcessPoolExecutor``; results cross the process boundary as
   ``ScenarioResult.to_dict()`` payloads.
@@ -318,8 +317,8 @@ def _run_in_process(
     finish: Callable[[CampaignCell], None],
     on_start: Optional[Callable[[str], None]] = None,
 ) -> None:
-    """Sequential path: identical to the legacy ``run_grid`` loop, with
-    per-cell failure isolation."""
+    """Sequential path: ``Scenario(config).run()`` per cell in this
+    process, with per-cell failure isolation."""
     pid = os.getpid()
     for label, config in pending:
         if on_start is not None:

@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.experiment import Scenario, ScenarioConfig
 from repro.core.faults import FaultPlan
-from repro.core.scenarios import run_grid
 from repro.runner import CampaignError, run_campaign
 
 
@@ -70,15 +69,6 @@ class TestPoolMatchesSequential:
         ):
             assert observables(single) == observables(direct), label
             assert observables(parallel) == observables(direct), label
-
-    def test_run_grid_rewired_through_runner(self):
-        grid = grid_configs()[:2]
-        old_style = [(label, Scenario(c).run()) for label, c in grid]
-        for workers in (1, 2):
-            rewired = run_grid(grid, workers=workers)
-            assert [label for label, _ in rewired] == [l for l, _ in grid]
-            for (_, a), (_, b) in zip(old_style, rewired):
-                assert observables(a) == observables(b)
 
 
 class TestWorkerFailureIsolation:

@@ -5,12 +5,21 @@
 artifact store, manifest provenance — stays fast.
 """
 
+import argparse
 import json
 
 import pytest
 
 from repro.campaigns import CampaignSpec, get_campaign
-from repro.runner.__main__ import _translate_legacy, main
+from repro.runner.__main__ import _build_parser, main
+
+
+def subcommands():
+    (action,) = [
+        a for a in _build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    return sorted(action.choices)
 
 
 class TestList:
@@ -243,35 +252,73 @@ class TestReport:
         assert json.loads(capsys.readouterr().out)["campaign"] == "fig7"
 
 
-class TestLegacyTranslation:
-    def test_flag_form_maps_to_run(self, capsys):
-        assert _translate_legacy(
-            ["--grid", "fig7", "--protocol", "all", "--workers", "2"]
-        ) == ["run", "fig7", "--protocol", "all", "--workers", "2"]
-        assert "deprecated" in capsys.readouterr().err
+class TestArgumentErrors:
+    def test_no_arguments_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
-    def test_grid_equals_form(self):
-        assert _translate_legacy(["--grid=recovery", "--quiet"]) == [
-            "run",
-            "recovery",
-            "--quiet",
-        ]
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, workers, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["run", "fig7", "--set", "fault=none", "--set", "clients=8",
+                 "--transactions", "60", "--quiet", "--workers", workers]
+            )
+        assert exc.value.code == 2
+        assert "--workers: must be at least 1" in capsys.readouterr().err
 
-    def test_no_arguments_runs_the_smoke_default(self):
-        assert _translate_legacy([]) == ["run", "smoke"]
+    @pytest.mark.parametrize("workers", ["two", "1.5", ""])
+    def test_workers_must_be_an_integer(self, workers, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "fig7", "--quiet", "--workers", workers])
+        assert exc.value.code == 2
+        assert "--workers: invalid int value" in capsys.readouterr().err
 
-    def test_subcommands_pass_through_untouched(self):
-        assert _translate_legacy(["list"]) == ["list"]
-        assert _translate_legacy(["run", "smoke"]) == ["run", "smoke"]
+    @pytest.mark.parametrize("workers", ["1", "4"])
+    def test_positive_workers_accepted(self, workers):
+        args = _build_parser().parse_args(["run", "fig7", "--workers", workers])
+        assert args.workers == int(workers)
 
-    def test_legacy_run_end_to_end(self, capsys):
-        """The old CI incantation still works (translated to `run`)."""
-        code = main(
-            ["--grid", "fig7", "--set", "fault=none", "--set", "clients=8",
-             "--transactions", "60", "--quiet"]
+    def test_workers_default_defers_to_environment(self):
+        """No --workers leaves the choice to REPRO_WORKERS (resolved,
+        with its own warning, by the runner)."""
+        assert _build_parser().parse_args(["run", "fig7"]).workers is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["perf"], ["smoke"], ["--workers", "2"]],
+        ids=["perf", "bare-campaign", "flags-only"],
+    )
+    def test_retired_entry_points_rejected(self, argv, capsys):
+        """The old perf subcommand, a campaign without ``run`` and the
+        flag-only legacy form exit with usage instead of running one."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+
+class TestHelp:
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for command in subcommands():
+            assert command in out
+
+    @pytest.mark.parametrize("command", subcommands())
+    def test_subcommand_help_renders(self, command, capsys):
+        """argparse formats help lazily, so a bad ``%`` in a help
+        string only fails here."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert f"usage: python -m repro.runner {command}" in (
+            capsys.readouterr().out
         )
-        assert code == 0
-        assert "none" in capsys.readouterr().out
 
 
 class TestProtocolSugar:
